@@ -41,7 +41,7 @@ print("\nnormal form of p_a q_b q_a t_u:", normalize(sig, F, word))
 
 W = Flavor.SFT  # p and hbar, noncommutative
 pa, qa_w = Element.term(sig, W, p={"a": 1}), Element.term(sig, W, q={"a": 1})
-print("\nWeyl rewriting moves p letters right, paying an hbar contraction.")
+print("\nWeyl product: p_g before q_g adds kappa_g hbar contraction terms (Wick formula).")
 print("odd orbit a:  p_a * q_a =", mul_weyl(pa, qa_w))
 print("              q_a * p_a =", mul_weyl(qa_w, pa))
 print("   anticommutator q_a p_a + p_a q_a =",

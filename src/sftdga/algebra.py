@@ -9,13 +9,19 @@ by the signature's variable order.  Odd variables square to zero and are never
 stored with exponent above one.  Koszul signs come from counting inversions
 among odd letters during a stable sort.
 
-Two products live here.  ``mul_super`` is plain supercommutative
-multiplication.  ``mul_weyl`` additionally applies the rewriting rule obtained
-from the commutator  q_g p_g - (-1)^{|q||p|} p_g q_g = kappa_g hbar,  namely
+Two products live here, both computed by one kernel.  ``mul_super`` is plain
+supercommutative multiplication.  ``mul_weyl`` additionally obeys the
+commutator  q_g p_g - (-1)^{|q||p|} p_g q_g = kappa_g hbar.  In a product
+m1 * m2 of normal-ordered monomials only p_g of m1 meets q_g of m2 out of
+order, so the kernel sums over k_g contractions per shared orbit (the Wick
+formula).  On an even orbit
 
-    p_g q_g  ->  (-1)^{|q||p|} ( q_g p_g  -  kappa_g hbar ),
+    p_g^a q_g^b  =  sum_k  k! C(a,k) C(b,k) (-kappa_g hbar)^k  q_g^(b-k) p_g^(a-k),
 
-bubbling each stray p rightward until the word is normal-ordered.
+and on an odd orbit k is 0 or 1 and a contracted adjacent pair p_g q_g is
++kappa_g hbar.  Each term's sign is the Koszul sign of bringing the
+contracted odd pairs together and sorting the remaining letters.
+``mul_super`` is the case where every k_g is 0.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
+from math import comb, factorial
 
 from .errors import (
     FlavorError,
@@ -284,10 +292,12 @@ _BLOCK = {"q": 0, "p": 1, "t": 2}
 
 
 def _letter_key(sig, letter):
+    """Sort key of a letter in normal order: q_i is i, p_i is N + i and t_j is
+    2N + j, where N is the number of orbits and i, j signature indices."""
     kind, vid = letter
     if kind == "t":
-        return (2, sig.tform_index(vid))
-    return (_BLOCK[kind], sig.orbit_index(vid))
+        return 2 * len(sig.orbits) + sig.tform_index(vid)
+    return _BLOCK[kind] * len(sig.orbits) + sig.orbit_index(vid)
 
 
 def _letter_parity(sig, letter):
@@ -307,22 +317,26 @@ def _check_letter_flavor(flavor, letter):
         raise FlavorError("flavor %s has no t variables" % flavor.value)
 
 
-def _monomial_from_sorted(sig, letters, hbar, group):
-    """Build a Monomial from letters already in canonical order."""
-    qs, ps, ts = [], [], []
-    for kind, vid in letters:
-        block = qs if kind == "q" else ps if kind == "p" else ts
-        if block and block[-1][0] == vid:
-            block[-1][1] += 1
-        else:
-            block.append([vid, 1])
-    return Monomial(
-        q=tuple((v, e) for v, e in qs),
-        p=tuple((v, e) for v, e in ps),
-        t=tuple((v, e) for v, e in ts),
-        hbar=hbar,
-        group=group,
-    )
+def _koszul_sign(keys):
+    """Koszul sign of sorting odd letters, given their target keys in word
+    order: -1 to the number of inversions."""
+    sign = 1
+    for i, k in enumerate(keys):
+        for k2 in keys[i + 1:]:
+            if k > k2:
+                sign = -sign
+    return sign
+
+
+def _monomial_from_keys(exps, ids, n_orbits, hbar, group):
+    """Build a Monomial from exponents by sort key (``ids`` maps a sort key to
+    its variable id); zero exponents drop out."""
+    blocks = ([], [], [])
+    for k in sorted(exps):
+        if exps[k]:
+            block = 0 if k < n_orbits else 1 if k < 2 * n_orbits else 2
+            blocks[block].append((ids[k], exps[k]))
+    return Monomial(*map(tuple, blocks), hbar=hbar, group=group)
 
 
 class Element:
@@ -370,20 +384,25 @@ class Element:
     @staticmethod
     def term(sig, flavor, coeff=1, q=None, p=None, t=None, hbar=0, group=None,
              policy=None) -> "Element":
-        """Single term from exponent maps; exponents are validated and sorted."""
+        """Single term from exponent maps.  Each block is sorted by signature
+        index and zero exponents drop out; an odd variable to a power above
+        one gives the zero element."""
         flavor = Flavor(flavor)
         group = sig.check_group(group) if group is not None else sig.zero_group()
-        word = []
-        for kind, exps in (("q", q), ("p", p), ("t", t)):
-            for vid, exp in (exps or {}).items():
+        exps, ids, dead = {}, {}, False
+        for kind, block in (("q", q), ("p", p), ("t", t)):
+            for vid, exp in (block or {}).items():
                 if exp < 0:
                     raise SignatureError("negative exponent for %s_%s" % (kind, vid))
-                word.extend([(kind, vid)] * exp)
-        # exponent maps name the canonical monomial, so the letter order the
-        # caller's dicts happened to use must not leak into the Koszul sign
-        word.sort(key=lambda let: _letter_key(sig, let))
-        return normalize(sig, flavor, word, coeff=coeff, group=group, hbar=hbar,
-                         policy=policy)
+                if exp:
+                    key = _letter_key(sig, (kind, vid))
+                    _check_letter_flavor(flavor, (kind, vid))
+                    exps[key], ids[key] = exp, vid
+                    dead = dead or (exp > 1 and _letter_parity(sig, (kind, vid)))
+        if dead:
+            return Element.zero(sig, flavor, policy)
+        m = _monomial_from_keys(exps, ids, len(sig.orbits), hbar, group)
+        return Element(sig, flavor, {m: as_fraction(coeff)}, policy)
 
     # -- views ----------------------------------------------------------------
 
@@ -543,44 +562,84 @@ def normalize(sig, flavor, word, coeff=1, group=None, hbar=0, policy=None) -> El
                     )
 
     keys = [_letter_key(sig, let) for let in letters]
-    pars = [_letter_parity(sig, let) for let in letters]
-    sign = 1
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            if keys[i] > keys[j] and pars[i] and pars[j]:
-                sign = -sign
-    odd_seen = set()
-    for let, par in zip(letters, pars):
-        if par:
-            if let in odd_seen:
-                return Element.zero(sig, flavor, policy)
-            odd_seen.add(let)
-    order = sorted(range(len(letters)), key=lambda i: keys[i])
-    m = _monomial_from_sorted(sig, [letters[i] for i in order], hbar, group)
-    return Element(sig, flavor, {m: coeff * sign}, policy)
+    odd = [k for k, let in zip(keys, letters) if _letter_parity(sig, let)]
+    if len(set(odd)) < len(odd):
+        return Element.zero(sig, flavor, policy)
+    exps, ids = {}, {}
+    for k, (_, vid) in zip(keys, letters):
+        exps[k] = exps.get(k, 0) + 1
+        ids[k] = vid
+    m = _monomial_from_keys(exps, ids, len(sig.orbits), hbar, group)
+    return Element(sig, flavor, {m: coeff * _koszul_sign(odd)}, policy)
 
 
-def _merge_sign(sig, m1: Monomial, m2: Monomial):
-    """Koszul data for concatenating two normal-ordered words: returns
-    (sign, merged letters) or None when an odd letter repeats."""
-    w1, w2 = m1.letters(), m2.letters()
-    k1 = [_letter_key(sig, x) for x in w1]
-    k2 = [_letter_key(sig, x) for x in w2]
-    p1 = [_letter_parity(sig, x) for x in w1]
-    p2 = [_letter_parity(sig, x) for x in w2]
-    odd1 = {x for x, par in zip(w1, p1) if par}
-    for x, par in zip(w2, p2):
-        if par and x in odd1:
-            return None
-    sign = 1
-    for a in range(len(w1)):
-        if not p1[a]:
-            continue
-        for b in range(len(w2)):
-            if p2[b] and k1[a] > k2[b]:
-                sign = -sign
-    merged = sorted(w1 + w2, key=lambda x: _letter_key(sig, x))
-    return sign, merged
+def _product(a: Element, b: Element, contract: bool) -> Element:
+    """Normal-ordered product of two elements in one step per term pair.
+
+    With ``contract`` set, p_g of the left term contracts with q_g of the
+    right one by the Wick formula of the module docstring; without it the
+    product is supercommutative.  Contracted odd pairs get target keys below
+    every letter, p before q, so one inversion count over the odd letters
+    gives the sign of bringing them together and sorting the rest.
+    """
+    sig = a.sig
+    n = len(sig.orbits)
+    # per sort key (see _letter_key): the variable id and whether it is odd
+    ids = [o.id for o in sig.orbits] * 2 + [t.id for t in sig.tforms]
+    odd = [sig.q_degree(o.id) & 1 for o in sig.orbits] * 2 + [
+        sig.t_degree(t.id) & 1 for t in sig.tforms]
+
+    def keyed(elem):
+        out = []
+        for m, c in elem.terms.items():
+            exps = {}
+            for base, block, index in ((0, m.q, sig.orbit_index),
+                                       (n, m.p, sig.orbit_index),
+                                       (2 * n, m.t, sig.tform_index)):
+                for vid, e in block:
+                    exps[base + index(vid)] = e
+            out.append((m, c, exps, [k for k in exps if odd[k]]))
+        return out
+
+    right = keyed(b)
+    out = {}
+    for m1, c1, exps1, odd1 in keyed(a):
+        for m2, c2, exps2, odd2 in right:
+            group = tuple(x + y for x, y in zip(m1.group, m2.group))
+            hbar = m1.hbar + m2.hbar
+            shared = [k - n for k in exps1 if n <= k < 2 * n and k - n in exps2
+                      ] if contract else ()
+            c12 = c1 * c2
+            for ks in product(*(range(min(exps1[n + i], exps2[i]) + 1)
+                                for i in shared)):
+                e1, e2, o1, o2, coeff = exps1, exps2, odd1, odd2, 1
+                if any(ks):
+                    e1, e2, o1, o2 = dict(exps1), dict(exps2), list(odd1), list(odd2)
+                    for i, k in zip(shared, ks):
+                        if not k:
+                            continue
+                        kappa = sig.orbits[i].kappa
+                        e1[n + i] -= k
+                        e2[i] -= k
+                        if odd[i]:
+                            coeff *= kappa
+                            o1[o1.index(n + i)] = 2 * (i - n)
+                            o2[o2.index(i)] = 2 * (i - n) + 1
+                        else:
+                            coeff *= (factorial(k) * comb(exps1[n + i], k)
+                                      * comb(exps2[i], k) * (-kappa) ** k)
+                if not set(o1).isdisjoint(o2):
+                    continue
+                exps = dict(e1)
+                for k, e in e2.items():
+                    exps[k] = exps.get(k, 0) + e
+                m = _monomial_from_keys(exps, ids, n, hbar + sum(ks), group)
+                # the integer factor is +-1 on most terms, where a Fraction
+                # product would be pure overhead
+                coeff *= _koszul_sign(o1 + o2)
+                term = c12 if coeff == 1 else -c12 if coeff == -1 else c12 * coeff
+                out[m] = out[m] + term if m in out else term
+    return Element(sig, a.flavor, out, combine_policies(a.policy, b.policy))
 
 
 def mul_super(a: Element, b: Element) -> Element:
@@ -590,60 +649,7 @@ def mul_super(a: Element, b: Element) -> Element:
         raise FlavorError(
             "flavor %s multiplies by the Weyl product; use mul_weyl" % a.flavor.value
         )
-    sig = a.sig
-    out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            res = _merge_sign(sig, m1, m2)
-            if res is None:
-                continue
-            sign, merged = res
-            g = tuple(x + y for x, y in zip(m1.group, m2.group))
-            m = _monomial_from_sorted(sig, merged, m1.hbar + m2.hbar, g)
-            out[m] = out.get(m, Fraction(0)) + sign * c1 * c2
-    return Element(sig, a.flavor, out, combine_policies(a.policy, b.policy))
-
-
-def _weyl_reduce(sig, word):
-    """Normal-order an arbitrary word under the Weyl rewriting rule.
-
-    Returns a dict mapping (letters tuple in canonical order, extra hbar) to
-    rational coefficients.  Each same-orbit pair p_g q_g rewrites as
-
-        p q -> s * q p - s * kappa hbar,   s = (-1)^{|q||p|},
-
-    all other adjacent disorders swap with the plain Koszul sign.
-    """
-    out = {}
-    stack = [(tuple(word), Fraction(1), 0)]
-    while stack:
-        w, c, h = stack.pop()
-        spot = -1
-        for i in range(len(w) - 1):
-            if _letter_key(sig, w[i]) > _letter_key(sig, w[i + 1]):
-                spot = i
-                break
-        if spot < 0:
-            dead = False
-            for i in range(len(w) - 1):
-                if w[i] == w[i + 1] and _letter_parity(sig, w[i]):
-                    dead = True
-                    break
-            if not dead:
-                key = (w, h)
-                out[key] = out.get(key, Fraction(0)) + c
-            continue
-        x, y = w[spot], w[spot + 1]
-        swapped = w[:spot] + (y, x) + w[spot + 2:]
-        if x[0] == "p" and y[0] == "q" and x[1] == y[1]:
-            rec = sig.orbit(x[1])
-            s = -1 if sig.q_degree(x[1]) & 1 else 1
-            stack.append((swapped, c * s, h))
-            stack.append((w[:spot] + w[spot + 2:], c * (-s * rec.kappa), h + 1))
-        else:
-            s = -1 if _letter_parity(sig, x) and _letter_parity(sig, y) else 1
-            stack.append((swapped, c * s, h))
-    return out
+    return _product(a, b, contract=False)
 
 
 def mul_weyl(a: Element, b: Element) -> Element:
@@ -653,18 +659,7 @@ def mul_weyl(a: Element, b: Element) -> Element:
         raise FlavorError(
             "flavor %s is supercommutative; use mul_super" % a.flavor.value
         )
-    sig = a.sig
-    out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            g = tuple(x + y for x, y in zip(m1.group, m2.group))
-            h0 = m1.hbar + m2.hbar
-            for (letters, extra), coeff in _weyl_reduce(
-                sig, m1.letters() + m2.letters()
-            ).items():
-                m = _monomial_from_sorted(sig, list(letters), h0 + extra, g)
-                out[m] = out.get(m, Fraction(0)) + coeff * c1 * c2
-    return Element(sig, a.flavor, out, combine_policies(a.policy, b.policy))
+    return _product(a, b, contract=True)
 
 
 def truncate(e: Element, policy: TruncationPolicy | None) -> Element:

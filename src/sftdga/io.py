@@ -172,8 +172,7 @@ def _term_monomial_in(sig, flavor, td, where):
                         hbar=hbar, group=group)
     if elem.is_zero:
         raise ParseError("%s: monomial is identically zero (odd square)" % where)
-    (mono, sign), = elem.terms.items()
-    assert sign == 1
+    (mono,) = elem.terms
     return mono
 
 

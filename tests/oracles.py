@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the algebra.
 
 Everything here is deliberately written against the *definitions* (adjacent
-transpositions for signs, the derivation-operator picture for the Weyl
-product) rather than against the library's normal-form code, so agreement is
-meaningful.
+transpositions for signs, the rewriting rule and the derivation-operator
+picture for the Weyl product) rather than against the library's normal-form
+code, so agreement is meaningful.
 """
 
 from fractions import Fraction
@@ -129,4 +129,78 @@ def act_right(f, a):
             else:
                 g = g * Element.term(sig, f.flavor, **{kind: {vid: 1}})
         out = out + g.shift(hbar=mono.hbar, group=mono.group)
+    return out
+
+
+def _letter_key(sig, letter):
+    # the library's normal order: q block, p block, t block, each sorted by
+    # signature index
+    kind, vid = letter
+    index = sig.tform_index(vid) if kind == "t" else sig.orbit_index(vid)
+    return (_KIND_RANK[kind], index)
+
+
+def _letter_parity(sig, letter):
+    return parity(letter, sig)
+
+
+def _weyl_reduce(sig, word):
+    """Normal-order an arbitrary word under the Weyl rewriting rule.
+
+    Returns a dict mapping (letters tuple in canonical order, extra hbar) to
+    rational coefficients.  Each same-orbit pair p_g q_g rewrites as
+
+        p q -> s * q p - s * kappa hbar,   s = (-1)^{|q||p|},
+
+    all other adjacent disorders swap with the plain Koszul sign.
+    """
+    out = {}
+    stack = [(tuple(word), Fraction(1), 0)]
+    while stack:
+        w, c, h = stack.pop()
+        spot = -1
+        for i in range(len(w) - 1):
+            if _letter_key(sig, w[i]) > _letter_key(sig, w[i + 1]):
+                spot = i
+                break
+        if spot < 0:
+            dead = False
+            for i in range(len(w) - 1):
+                if w[i] == w[i + 1] and _letter_parity(sig, w[i]):
+                    dead = True
+                    break
+            if not dead:
+                key = (w, h)
+                out[key] = out.get(key, Fraction(0)) + c
+            continue
+        x, y = w[spot], w[spot + 1]
+        swapped = w[:spot] + (y, x) + w[spot + 2:]
+        if x[0] == "p" and y[0] == "q" and x[1] == y[1]:
+            rec = sig.orbit(x[1])
+            s = -1 if sig.q_degree(x[1]) & 1 else 1
+            stack.append((swapped, c * s, h))
+            stack.append((w[:spot] + w[spot + 2:], c * (-s * rec.kappa), h + 1))
+        else:
+            s = -1 if _letter_parity(sig, x) and _letter_parity(sig, y) else 1
+            stack.append((swapped, c * s, h))
+    return out
+
+
+def weyl_product(a, b):
+    """The Weyl product by bubbling the concatenated words of every term pair
+    with _weyl_reduce; cost is factorial in the shared exponents."""
+    sig = a.sig
+    out = Element.zero(sig, a.flavor)
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            g = tuple(x + y for x, y in zip(m1.group, m2.group))
+            for (letters, extra), coeff in _weyl_reduce(
+                sig, m1.letters() + m2.letters()
+            ).items():
+                exps = {"q": {}, "p": {}, "t": {}}
+                for kind, vid in letters:
+                    exps[kind][vid] = exps[kind].get(vid, 0) + 1
+                out = out + Element.term(sig, a.flavor, coeff=coeff * c1 * c2,
+                                         hbar=m1.hbar + m2.hbar + extra,
+                                         group=g, **exps)
     return out

@@ -1,7 +1,9 @@
 """Multiplication core: Koszul signs, Weyl rewriting, policies."""
 
 import random
+import time
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -17,7 +19,7 @@ from sftdga import (
 from sftdga.algebra import filtration_weight, mul_super, normalize, truncate
 
 from oracles import (act_right, bubble_sign, has_odd_repeat,
-                     saturating_polynomial, word_element)
+                     saturating_polynomial, weyl_product, word_element)
 
 LETTERS = [("q", v) for v in "abcd"] + [("p", v) for v in "abcd"] + \
           [("t", "u"), ("t", "v")]
@@ -214,6 +216,78 @@ def test_mul_weyl_matches_derivation_representation(sig_mixed):
             q={v: rng.randint(0, 2) for v in ("a", "c")}))
         for f in probes:
             assert act_right(f, prod) == act_right(act_right(f, a), b)
+
+
+def _random_block(rng, ids, cap):
+    # letters drawn with repeats, so even orbits reach exponent cap
+    out = {}
+    for _ in range(rng.randint(0, cap)):
+        v = rng.choice(ids)
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
+def _random_oracle_element(rng, sig):
+    out = Element.zero(sig, Flavor.SFT_STAR)
+    for _ in range(rng.randint(1, 2)):
+        # orbit a is drawn most often, so shared exponents reach 4
+        out = out + Element.term(
+            sig, Flavor.SFT_STAR,
+            coeff=Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)),
+            q=_random_block(rng, "aaaacbd", 4), p=_random_block(rng, "aaaacbd", 4),
+            t=_random_block(rng, "uv", 2), hbar=rng.randint(0, 1),
+            group=(rng.randint(-1, 1),))
+    return out
+
+
+def test_mul_weyl_matches_rewriting_oracle(sig_mixed):
+    # sig_mixed mixes parities (a, c and t_v even; b, d and t_u odd) and
+    # kappa from 1 to 3
+    rng = random.Random(20)
+    contracting, shared_4 = 0, 0
+    for _ in range(2000):
+        a = _random_oracle_element(rng, sig_mixed)
+        b = _random_oracle_element(rng, sig_mixed)
+        shared = max((sum(min(e, dict(m2.q).get(v, 0)) for v, e in m1.p)
+                      for m1 in a.terms for m2 in b.terms), default=0)
+        contracting += shared > 0
+        shared_4 += shared >= 4
+        assert a * b == weyl_product(a, b)
+    # the sample actually reached the contraction branch, up to exponent 4
+    assert contracting >= 800
+    assert shared_4 >= 10
+
+
+def test_weyl_wick_closed_form():
+    # even orbit, kappa = 2:  p^9 q^9 = sum_k k! C(9,k)^2 (-2 hbar)^k q^(9-k) p^(9-k)
+    sig = _one_orbit_sig(2, 2)
+    p9 = Element.term(sig, Flavor.SFT, p={"a": 9})
+    q9 = Element.term(sig, Flavor.SFT, q={"a": 9})
+    expected = Element.zero(sig, Flavor.SFT)
+    for k in range(10):
+        expected = expected + Element.term(
+            sig, Flavor.SFT, coeff=factorial(k) * comb(9, k) ** 2 * (-2) ** k,
+            q={"a": 9 - k}, p={"a": 9 - k}, hbar=k)
+    # bubbling the rewriting rule took minutes here; the Wick kernel takes
+    # well under a millisecond, and the bound leaves room for a slow machine
+    start = time.perf_counter()
+    got = p9 * q9
+    assert time.perf_counter() - start < 1.0
+    assert got == expected and len(got.terms) == 10
+    # odd orbit, kappa = 3:  p q = -q p + kappa hbar
+    sig = _one_orbit_sig(1, 3)
+    q = Element.term(sig, Flavor.SFT, q={"a": 1})
+    p = Element.term(sig, Flavor.SFT, p={"a": 1})
+    qp = Element.term(sig, Flavor.SFT, q={"a": 1}, p={"a": 1})
+    assert p * q == -qp + Element.term(sig, Flavor.SFT, coeff=3, hbar=1)
+
+
+def test_term_builds_huge_exponent_directly(sig_mixed):
+    # the monomial is built from the exponent map, never expanded into letters
+    elem = Element.term(sig_mixed, Flavor.CH, q={"a": 10**6, "c": 0})
+    (mono, coeff), = elem.items()
+    assert mono.q == (("a", 10**6),) and coeff == 1
+    assert Element.term(sig_mixed, Flavor.CH, q={"b": 10**6}).is_zero
 
 
 def test_filtration_weights():
