@@ -45,15 +45,21 @@ from .differential import (
     project,
     restrict_spec,
     validate_structure,
+    verify_chain_map,
 )
 from .errors import BoundsError, FlavorError, LiftError, SeriesWeightError
 from .linsolve import solve_exact
-from .signature import AlgebraSignature
+from .signature import AlgebraSignature, generator_degree
 
 SEMIDECISION_CAVEAT = (
     "absence of a primitive inside the stated bounds does not certify that "
     "the unit fails to be exact; enlarging the bounds may change the verdict"
 )
+
+# the two notes of a search miss that rules out every primitive in the window
+NO_CANDIDATES_NOTE = ("no degree-1 monomials inside the bounds "
+                      "(parity or bound obstruction)")
+NO_SOLUTION_NOTE = "linear system has no solution over the candidate basis"
 
 CONVENTIONS = {
     "q-degree": "CZ + n - 3",
@@ -153,14 +159,7 @@ def _candidate_monomials(sig, flavor, bounds: SearchBounds):
         letters += [("p", i) for i in orbit_ids]
     if flavor.allows_t:
         letters += [("t", f.id) for f in sig.tforms]
-
-    def letter_degree(let):
-        kind, vid = let
-        if kind == "q":
-            return sig.q_degree(vid)
-        if kind == "p":
-            return sig.p_degree(vid)
-        return sig.t_degree(vid)
+    degree = {let: generator_degree(let, sig) for let in letters}
 
     def letter_action(let):
         kind, vid = let
@@ -177,27 +176,23 @@ def _candidate_monomials(sig, flavor, bounds: SearchBounds):
             "hbar has degree 0 here (n = 3); the search needs an explicit max_hbar"
         )
 
-    groups = bounds.group_list(sig)
+    groups = [(g, sig.group_degree(g)) for g in bounds.group_list(sig)]
+    # combinations repeat a letter only in adjacent slots
+    odd_squares = {(let, let) for let in letters if degree[let] & 1}
+    allows_hbar = flavor.allows_hbar
     monos = []
     for length in range(bounds.max_word_length + 1):
         for combo in itertools.combinations_with_replacement(letters, length):
-            seen = set()
-            skip = False
-            for let in combo:
-                if (letter_degree(let) & 1) and let in seen:
-                    skip = True  # odd square, identically zero
-                    break
-                seen.add(let)
-            if skip:
-                continue
+            if not odd_squares.isdisjoint(zip(combo, combo[1:])):
+                continue  # odd square, identically zero
             if bounds.max_action is not None:
                 total = sum((letter_action(l) for l in combo), Fraction(0))
                 if total > bounds.max_action:
                     continue
-            wdeg = sum(letter_degree(l) for l in combo)
-            for group in groups:
-                base = wdeg + sig.group_degree(group)
-                if flavor.allows_hbar:
+            wdeg = sum(map(degree.__getitem__, combo))
+            for group, gdeg in groups:
+                base = wdeg + gdeg
+                if allows_hbar:
                     if hd == 0:
                         hbars = range(bounds.max_hbar + 1) if base == 1 else ()
                     else:
@@ -233,9 +228,7 @@ def search_unit_primitive(dspec: DifferentialSpec, bounds: SearchBounds) -> Sear
     exact = dspec.with_policy(None)
     candidates = _candidate_monomials(sig, flavor, bounds)
     if not candidates:
-        return SearchResult(None, 0, 0,
-                            "no degree-1 monomials inside the bounds "
-                            "(parity or bound obstruction)")
+        return SearchResult(None, 0, 0, NO_CANDIDATES_NOTE)
     unit_mono = Monomial(group=sig.zero_group())
     row_index = {unit_mono: 0}
     columns = []
@@ -257,9 +250,7 @@ def search_unit_primitive(dspec: DifferentialSpec, bounds: SearchBounds) -> Sear
     rhs[0] = Fraction(1)
     x = solve_exact(rows, len(candidates), rhs)
     if x is None:
-        return SearchResult(
-            None, len(candidates), nrows,
-            "linear system has no solution over the candidate basis")
+        return SearchResult(None, len(candidates), nrows, NO_SOLUTION_NOTE)
     f = Element(sig, flavor,
                 {m: c for m, c in zip(candidates, x) if c != 0})
     verified = apply_d(exact, f) == Element.unit(sig, flavor)
@@ -440,6 +431,26 @@ class ClassifyReport:
         return "\n".join(lines)
 
 
+def _miss_by_projection(dspec: DifferentialSpec, root_spec: DifferentialSpec,
+                        bounds: SearchBounds):
+    """The miss a direct search over dspec would report, given that the
+    exact search over root_spec (a smaller flavor) found no primitive.
+
+    If projection Pi onto the root flavor intertwines the exact
+    differentials, a primitive f here would give d(Pi f) = Pi d(f) = 1
+    there, and Pi f is a combination of root candidates: projection only
+    drops monomials, and every other bound of the window ignores the
+    flavor.  So the root miss rules f out and no system is built
+    (``constraints`` is 0).  Returns None when the chain-map check fails,
+    and the caller must search.
+    """
+    if not verify_chain_map(dspec.with_policy(None),
+                            root_spec.with_policy(None)).ok:
+        return None
+    n = len(_candidate_monomials(dspec.sig, dspec.flavor, bounds))
+    return SearchResult(None, n, 0, NO_SOLUTION_NOTE if n else NO_CANDIDATES_NOTE)
+
+
 def classify(specs, bounds: SearchBounds,
              policy: TruncationPolicy | None = None,
              flavors=None) -> ClassifyReport:
@@ -451,11 +462,12 @@ def classify(specs, bounds: SearchBounds,
     supplied.  Supplied specs are validated first (including d^2 = 0, which
     the lifting construction relies on); failures abort the classification.
 
-    Search runs on the smallest addressable flavor first.  Any primitive in
-    any flavor projects to one there, so a miss there should settle the rest;
-    the larger flavors are still searched directly as a fallback rather than
-    trusting that argument.  A found primitive is projected down to the
-    smallest flavor and lifted stepwise to every other addressable one.
+    Search runs on the smallest addressable flavor (the root) first.  If it
+    misses, every other flavor whose exact differential passes
+    ``verify_chain_map`` onto the root's is decided by that miss without a
+    search of its own (see ``_miss_by_projection``); the rest are searched
+    directly, smallest first.  A found primitive is projected down to the
+    root and lifted stepwise to every other addressable one.
     """
     if isinstance(specs, DifferentialSpec):
         specs = {specs.flavor: specs}
@@ -504,9 +516,16 @@ def classify(specs, bounds: SearchBounds,
                    for f in wanted]
         return ClassifyReport(entries, validation, bounds, policy)
 
+    root = addressable[0]  # CH: every flavor projects onto it
     results = {}
     found_at = None
     for f in addressable:
+        if f is not root and results[root].note in (NO_CANDIDATES_NOTE,
+                                                    NO_SOLUTION_NOTE):
+            settled = _miss_by_projection(spec_for[f], spec_for[root], bounds)
+            if settled is not None:
+                results[f] = settled
+                continue
         results[f] = search_unit_primitive(spec_for[f], bounds)
         if results[f].certificate is not None:
             found_at = f
@@ -523,7 +542,6 @@ def classify(specs, bounds: SearchBounds,
 
     base_cert = results[found_at].certificate
     certs = {found_at: base_cert}
-    root = addressable[0]  # smallest flavor, always a subflavor of found_at
     if root not in certs:
         certs[root] = project_primitive(spec_for[root], base_cert.primitive)
 

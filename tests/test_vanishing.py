@@ -15,10 +15,14 @@ from sftdga import (
     SeriesWeightError,
     TruncationPolicy,
 )
-from sftdga.differential import restrict_spec
+from sftdga import vanishing
+from sftdga.algebra import normalize
+from sftdga.corpus import corpus_entry, random_layered_spec, spec_from_hamiltonian
+from sftdga.differential import restrict_spec, verify_chain_map
 from sftdga.vanishing import (
     SEMIDECISION_CAVEAT,
     SearchBounds,
+    SearchResult,
     classify,
     find_unit_primitive,
     formal_inverse,
@@ -252,3 +256,91 @@ def test_classify_accepts_multiple_supplied_flavors(toy):
     }
     report = classify(specs, toy.bounds, toy.policy)
     assert all(e.status == "unit-exact" for e in report.entries)
+
+
+def test_classify_miss_matches_direct_search_in_every_flavor(tight):
+    # the slow path as oracle: a miss settled by the root search through the
+    # projection chain map reports what a direct search in the flavor reports
+    bounds = SearchBounds(max_word_length=3, max_hbar=2)
+    cases = [(random_layered_spec(s, pairs=3, with_unit=False).master, bounds)
+             for s in range(20)]
+    cases += [(e.master, e.bounds)
+              for e in (tight, corpus_entry("layered-7-nounit"))]
+    # every letter even, so no flavor has a degree-1 candidate
+    sig = AlgebraSignature(n=2, orbits=(OrbitRecord("a", 3), OrbitRecord("b", 5)))
+    zero = Element.zero(sig, Flavor.SFT)
+    cases.append((DifferentialSpec(sig, Flavor.SFT, {
+        (kind, o): zero for kind in "qp" for o in "ab"}), bounds))
+    for i, (master, b) in enumerate(cases):
+        report = classify(master, b)
+        for f in [e.flavor for e in report.entries]:
+            r = search_unit_primitive(restrict_spec(master, f), b)
+            assert r.certificate is None, (i, f)
+            got = report.entry(f)
+            assert got.status == "no-primitive-within-bounds", (i, f)
+            assert got.detail == "%d candidates; %s" % (r.candidates, r.note), \
+                (i, f)
+
+
+def _count_searches(monkeypatch, result=None):
+    searched = []
+    real = vanishing.search_unit_primitive
+
+    def counting(dspec, bounds):
+        searched.append(dspec.flavor)
+        return real(dspec, bounds) if result is None else result
+
+    monkeypatch.setattr(vanishing, "search_unit_primitive", counting)
+    return searched
+
+
+def test_classify_searches_flavors_without_a_chain_map_to_the_root(tight,
+                                                                   monkeypatch):
+    sig = tight.master.sig
+    # d(q_x) = q_w is a valid CH differential, but the restriction of the
+    # zero differential does not project onto it
+    ch = DifferentialSpec(sig, Flavor.CH, {
+        ("q", "w"): Element.zero(sig, Flavor.CH),
+        ("q", "x"): Element.term(sig, Flavor.CH, q={"w": 1}),
+        ("q", "y"): Element.zero(sig, Flavor.CH),
+        ("q", "z"): Element.zero(sig, Flavor.CH),
+    })
+    specs = {Flavor.SFT_STAR: tight.master, Flavor.CH: ch}
+    searched = _count_searches(monkeypatch)
+    report = classify(specs, tight.bounds, tight.policy)
+    ranked = [e.flavor for e in report.entries]  # smallest flavor first
+    unrelated = [f for f in ranked[1:] if not verify_chain_map(
+        restrict_spec(tight.master, f).with_policy(None), ch).ok]
+    assert unrelated
+    assert searched == [Flavor.CH] + unrelated
+    assert all(e.status == "no-primitive-within-bounds" for e in report.entries)
+
+    searched.clear()
+    classify(tight.master, tight.bounds, tight.policy)
+    assert searched == [Flavor.CH]
+
+
+def test_classify_searches_every_flavor_after_an_unproven_root_miss(
+        tight, monkeypatch):
+    # a root miss whose solution failed re-verification proves nothing
+    miss = SearchResult(None, 1, 1, "solver output failed re-verification")
+    searched = _count_searches(monkeypatch, miss)
+    report = classify(tight.master, tight.bounds, tight.policy)
+    assert searched == [e.flavor for e in report.entries]
+    assert len(searched) == 6
+
+
+def test_classify_keeps_the_hbar_cap_check_after_a_root_miss():
+    # n = 3: hbar has degree 0; the root CH search misses and needs no cap,
+    # but the SFT candidates still do
+    sig = AlgebraSignature(n=3, orbits=(OrbitRecord("w", 1, 1),
+                                        OrbitRecord("x", 2, 2)))
+    F = Flavor.SFT
+    U = (normalize(sig, F, [("q", "x"), ("p", "x")])
+         + normalize(sig, F, ["hbar"], coeff=2))
+    spec = spec_from_hamiltonian(U * normalize(sig, F, [("p", "w")]))
+    bounds = SearchBounds(max_word_length=3)
+    assert search_unit_primitive(restrict_spec(spec, Flavor.CH),
+                                 bounds).certificate is None
+    with pytest.raises(BoundsError, match="hbar has degree 0 here"):
+        classify(spec, bounds)
