@@ -552,14 +552,15 @@ def normalize(sig, flavor, word, coeff=1, group=None, hbar=0, policy=None) -> El
         letters.append((kind, vid))
 
     if flavor.weyl:
-        for i, (kind, vid) in enumerate(letters):
-            if kind != "p":
-                continue
-            for kind2, vid2 in letters[i + 1:]:
-                if kind2 == "q" and vid2 == vid:
-                    raise WeylOrderError(
-                        "word has p_%s left of q_%s; use mul_weyl" % (vid, vid)
-                    )
+        # one pass from the right: no p letter may find its orbit's q already seen
+        q_right = set()
+        for kind, vid in reversed(letters):
+            if kind == "q":
+                q_right.add(vid)
+            elif kind == "p" and vid in q_right:
+                raise WeylOrderError(
+                    "word has p_%s left of q_%s; use mul_weyl" % (vid, vid)
+                )
 
     keys = [_letter_key(sig, let) for let in letters]
     odd = [k for k, let in zip(keys, letters) if _letter_parity(sig, let)]

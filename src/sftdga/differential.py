@@ -7,7 +7,13 @@ the graded left Leibniz rule along each normal-ordered word,
 
     d(x1 ... xk) = sum_i (-1)^{|x1|+...+|x_{i-1}|} x1 ... d(x_i) ... xk,
 
-with the flavor's own product used to multiply the pieces.  On the
+with the flavor's own product used to multiply the pieces.  ``apply_d``
+evaluates it as d(x w) = d(x) w + (-1)^{|x|} x d(w), with x the first letter
+and w the rest of the word; the two forms agree by associativity.  Within
+one call the d of every letters-only suffix is computed once and reused by
+all terms that end in it; hbar and e^A are even, central and closed, so a
+term's hbar power and group class are shifted on afterwards.  The memo is
+exact and lives for one call; only the final sum is truncated.  On the
 supercommutative flavors any image table defines a derivation this way.  On
 the Weyl flavors it does not: the extension is a derivation for the Weyl
 product iff the images are compatible with the commutation relations, and
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from .algebra import (
     Element,
     Flavor,
+    Monomial,
     TruncationPolicy,
     _letter_parity,
     combine_policies,
@@ -130,9 +137,12 @@ class DifferentialSpec:
 def apply_d(dspec: DifferentialSpec, elem: Element) -> Element:
     """Apply the differential to an element.
 
-    Intermediate products run unbounded and only the final sum is truncated;
-    the Weyl contraction can shorten words, so trimming midway could silently
-    drop terms that a later factor would have brought back under the bounds.
+    d of a term is its coefficient times d(w) of its letters-only word w,
+    shifted by the term's e^A hbar^g; ``_d_word`` computes d(w) and reuses
+    every suffix already met in this call.  The memo and all intermediate
+    products are exact and only the final sum is truncated: the Weyl
+    contraction can shorten words, so trimming midway could silently drop
+    terms that a later factor would have brought back under the bounds.
     """
     if elem.sig != dspec.sig:
         raise SignatureMismatchError("element built over different contact data")
@@ -143,22 +153,59 @@ def apply_d(dspec: DifferentialSpec, elem: Element) -> Element:
         )
     sig, flavor = dspec.sig, dspec.flavor
     pol = combine_policies(dspec.policy, elem.policy)
+    zero_group = sig.zero_group()
+    memo = {Monomial(group=zero_group): Element.zero(sig, flavor)}
     acc = {}
     for mono, coeff in elem.terms.items():
-        letters = mono.letters()
-        sign = 1
-        for i, letter in enumerate(letters):
-            img = dspec.images.get(letter)
-            if img is not None and not img.is_zero:
-                prefix = normalize(sig, flavor, letters[:i])
-                suffix = normalize(sig, flavor, letters[i + 1:])
-                piece = (prefix * img * suffix).shift(hbar=mono.hbar,
-                                                      group=mono.group)
-                for m2, c2 in piece.terms.items():
-                    acc[m2] = acc.get(m2, 0) + sign * coeff * c2
-            if _letter_parity(sig, letter):
-                sign = -sign
+        word = Monomial(mono.q, mono.p, mono.t, 0, zero_group)
+        piece = _d_word(dspec, word, memo).shift(hbar=mono.hbar, group=mono.group)
+        for m2, c2 in piece.terms.items():
+            acc[m2] = acc.get(m2, 0) + coeff * c2
     return Element(sig, flavor, acc, pol)
+
+
+def _split_first(word: Monomial):
+    """The first letter of a nonempty normal-ordered word and the word
+    after it."""
+    blocks = [word.q, word.p, word.t]
+    for i, kind in enumerate("qpt"):
+        if blocks[i]:
+            (vid, exp), rest = blocks[i][0], blocks[i][1:]
+            blocks[i] = (((vid, exp - 1),) if exp > 1 else ()) + rest
+            return (kind, vid), Monomial(*blocks, hbar=0, group=word.group)
+
+
+def _d_word(dspec: DifferentialSpec, word: Monomial, memo: dict) -> Element:
+    """d of a letters-only normal-ordered word by d(x w) = d(x) w +
+    (-1)^{|x|} x d(w), with x the first letter.
+
+    ``memo`` maps words to their exact d and must hold the empty word.  The
+    letters are peeled off from the left until a known suffix turns up, then
+    the suffixes are built back up from the right, one product pair each, so
+    a long word needs no recursion.
+    """
+    sig, flavor = dspec.sig, dspec.flavor
+    peeled = []
+    while word not in memo:
+        letter, rest = _split_first(word)
+        peeled.append((word, letter, rest))
+        word = rest
+    d = memo[word]
+    for word, letter, rest in reversed(peeled):
+        terms = {}
+        img = dspec.images.get(letter)
+        if img is not None and not img.is_zero:
+            terms.update((img * Element(sig, flavor, {rest: 1})).terms)
+        if not d.is_zero:
+            kind, vid = letter
+            x = Element(sig, flavor, {
+                Monomial(**{kind: ((vid, 1),)}, group=rest.group): 1})
+            odd = _letter_parity(sig, letter)
+            for m2, c2 in (x * d).terms.items():
+                c2 = -c2 if odd else c2
+                terms[m2] = terms[m2] + c2 if m2 in terms else c2
+        d = memo[word] = Element(sig, flavor, terms)
+    return d
 
 
 def check_d_squared(dspec: DifferentialSpec) -> CheckReport:

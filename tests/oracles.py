@@ -3,13 +3,16 @@
 Everything here is deliberately written against the *definitions* (adjacent
 transpositions for signs, the rewriting rule and the derivation-operator
 picture for the Weyl product) rather than against the library's normal-form
-code, so agreement is meaningful.
+code, so agreement is meaningful.  ``apply_d_per_letter`` is the exception:
+it is the earlier, slower form of ``apply_d`` and leans on ``normalize`` and
+the product, but it applies the Leibniz rule at each letter where the
+library peels one letter and reuses the d of the suffix.
 """
 
 from fractions import Fraction
 
 from sftdga import Element
-from sftdga.algebra import parity
+from sftdga.algebra import combine_policies, normalize, parity
 
 _KIND_RANK = {"q": 0, "p": 1, "t": 2}
 
@@ -204,3 +207,30 @@ def weyl_product(a, b):
                                          hbar=m1.hbar + m2.hbar + extra,
                                          group=g, **exps)
     return out
+
+
+def apply_d_per_letter(dspec, elem):
+    """The differential by the graded Leibniz rule at every letter,
+
+        d(x1 ... xk) = sum_i (-1)^{|x1|+...+|x_{i-1}|} x1 ... d(x_i) ... xk,
+
+    re-normalizing the prefix and suffix of each letter and making two full
+    products per letter; only the final sum is truncated."""
+    sig, flavor = dspec.sig, dspec.flavor
+    pol = combine_policies(dspec.policy, elem.policy)
+    acc = {}
+    for mono, coeff in elem.terms.items():
+        letters = mono.letters()
+        sign = 1
+        for i, letter in enumerate(letters):
+            img = dspec.images.get(letter)
+            if img is not None and not img.is_zero:
+                prefix = normalize(sig, flavor, letters[:i])
+                suffix = normalize(sig, flavor, letters[i + 1:])
+                piece = (prefix * img * suffix).shift(hbar=mono.hbar,
+                                                      group=mono.group)
+                for m2, c2 in piece.terms.items():
+                    acc[m2] = acc.get(m2, 0) + sign * coeff * c2
+            if parity(letter, sig):
+                sign = -sign
+    return Element(sig, flavor, acc, pol)

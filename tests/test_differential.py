@@ -1,6 +1,7 @@
 """Differentials: Leibniz extension, d^2, structural checks, flavor maps."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from sftdga import (
     Flavor,
     MissingImageError,
     OrbitRecord,
+    TruncationPolicy,
 )
 from sftdga.corpus import hbar_quotient, spec_from_hamiltonian
 from sftdga.differential import (
@@ -24,6 +26,8 @@ from sftdga.differential import (
     validate_structure,
     verify_chain_map,
 )
+
+from oracles import apply_d_per_letter
 
 # ---------------------------------------------------------------- toy data
 
@@ -93,6 +97,70 @@ def test_apply_d_matches_bracket_oracle(toy):
         assert apply_d(dspec, x) == hbar_quotient(comm)
         checked += 1
     assert checked > 60
+
+
+def _random_mixed_element(rng, sig, flavor, max_terms, max_letters):
+    # terms with rational coefficients, repeated letters, hbar and group
+    # classes; repeated odd letters kill a term
+    kinds = ["q"] + ["p"] * flavor.allows_p + ["t"] * flavor.allows_t
+    out = Element.zero(sig, flavor)
+    for _ in range(rng.randint(1, max_terms)):
+        blocks = {"q": {}, "p": {}, "t": {}}
+        for _ in range(rng.randint(0, max_letters)):
+            kind = rng.choice(kinds)
+            v = rng.choice("uv" if kind == "t" else "abcd")
+            blocks[kind][v] = blocks[kind].get(v, 0) + 1
+        out = out + Element.term(
+            sig, flavor, coeff=Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)),
+            hbar=rng.randint(0, 1) if flavor.allows_hbar else 0,
+            group=(rng.randint(-1, 1),), **blocks)
+    return out
+
+
+@pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
+def test_apply_d_matches_per_letter_oracle(sig_mixed, flavor):
+    # random image tables need not define a valid differential: both forms
+    # expand the same sum of products, and agree by associativity alone
+    rng = random.Random(41)
+    # the word bound sits below the longest intermediate words, so trimming
+    # before a contraction had shortened them would show
+    spec_policy = TruncationPolicy(max_p_weight=2, max_hbar_weight=1, max_t_weight=1,
+                                   max_word_length=3, max_action=Fraction(9))
+    elem_policy = TruncationPolicy(max_p_weight=3, max_hbar_weight=2, max_t_weight=2,
+                                   max_word_length=4)
+    odd = {("q", "b"), ("q", "d"), ("p", "b"), ("p", "d"), ("t", "u")}
+    nonzero, odd_seen = 0, 0
+    for _ in range(6):
+        keys = [(kind, v) for kind in "qp"[:1 + flavor.allows_p] for v in "abcd"]
+        images = {key: Element.zero(sig_mixed, flavor) if rng.random() < 0.25
+                  else _random_mixed_element(rng, sig_mixed, flavor, 3, 3)
+                  for key in keys}
+        dspec = DifferentialSpec(sig_mixed, flavor, images)
+        for _ in range(8):
+            x = _random_mixed_element(rng, sig_mixed, flavor, 3, 4)
+            want = apply_d_per_letter(dspec, x)
+            assert apply_d(dspec, x) == want
+            nonzero += not want.is_zero
+            odd_seen += any(letter in odd for m in x.terms for letter in m.letters())
+            for spec_pol, elem_pol in ((spec_policy, None), (None, elem_policy),
+                                       (spec_policy, elem_policy)):
+                bounded, xb = dspec.with_policy(spec_pol), x.with_policy(elem_pol)
+                got, want = apply_d(bounded, xb), apply_d_per_letter(bounded, xb)
+                assert got == want and got.policy == want.policy
+    # the sample is not degenerate: about half the elements have nonzero d,
+    # and most carry an odd letter
+    assert nonzero >= 15 and odd_seen >= 25
+
+
+def test_apply_d_long_word_needs_no_recursion(toy):
+    # d(q_b) = 2 q_c p_a, and q_b, q_c are even while p_a meets no q_a, so
+    # d(q_b^N) = 2N q_b^(N-1) q_c p_a; the word is longer than the
+    # recursion limit
+    dspec = toy.master.with_policy(None)
+    sig, fl = dspec.sig, dspec.flavor
+    n = sys.getrecursionlimit() + 500
+    got = apply_d(dspec, Element.term(sig, fl, q={"b": n}))
+    assert got == Element.term(sig, fl, coeff=2 * n, q={"b": n - 1, "c": 1}, p={"a": 1})
 
 
 def test_leibniz_identity_weyl(toy):
