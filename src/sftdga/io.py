@@ -30,6 +30,12 @@ from .vanishing import ClassifyReport, PrimitiveCertificate, SearchBounds
 
 FORMAT_VERSION = 1
 
+# Largest q/p/t exponent a document may carry.  apply_d makes one product
+# pair and keeps one memo entry per letter of a word, so its time and memory
+# grow linearly with an exponent; no family in the corpus or the benchmark
+# goes above 1.
+MAX_EXPONENT = 1000
+
 
 # ---------------------------------------------------------------- primitives
 
@@ -160,8 +166,14 @@ def _term_monomial_in(sig, flavor, td, where):
         block = td.get(kind, {})
         if not isinstance(block, dict):
             raise ParseError("%s: %r exponents must be an object" % (where, kind))
-        exps[kind] = {str(v): _int_in(e, "%s %s_%s" % (where, kind, v), minimum=0)
-                      for v, e in block.items()}
+        exps[kind] = {}
+        for v, e in block.items():
+            w = "%s %s_%s" % (where, kind, v)
+            e = _int_in(e, w, minimum=0)
+            if e > MAX_EXPONENT:
+                raise ParseError("%s: exponent %d is above MAX_EXPONENT = %d"
+                                 % (w, e, MAX_EXPONENT))
+            exps[kind][str(v)] = e
     hbar = _int_in(td.get("hbar", 0), where + " hbar", minimum=0)
     group = td.get("group")
     if group is not None:

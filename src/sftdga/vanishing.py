@@ -144,8 +144,12 @@ class SearchResult:
     note: str = ""
 
 
-def _candidate_monomials(sig, flavor, bounds: SearchBounds):
-    """Degree-1 monomials inside the bounds, in deterministic order."""
+def _candidate_words(sig, flavor, bounds: SearchBounds):
+    """The degree-1 words inside the bounds, one ``(combo, group, hbar)`` per
+    candidate monomial: ``combo`` lists the q/p/t letters in normal order,
+    with repeats.  ``_candidate_monomials`` builds the monomials and
+    ``_miss_by_projection`` only counts them; both run the enumeration to
+    its end, so both raise the same BoundsError."""
     flavor = Flavor(flavor)
     orbit_ids = [o.id for o in sig.orbits]
     if bounds.orbits is not None:
@@ -180,7 +184,6 @@ def _candidate_monomials(sig, flavor, bounds: SearchBounds):
     # combinations repeat a letter only in adjacent slots
     odd_squares = {(let, let) for let in letters if degree[let] & 1}
     allows_hbar = flavor.allows_hbar
-    monos = []
     for length in range(bounds.max_word_length + 1):
         for combo in itertools.combinations_with_replacement(letters, length):
             if not odd_squares.isdisjoint(zip(combo, combo[1:])):
@@ -204,14 +207,21 @@ def _candidate_monomials(sig, flavor, bounds: SearchBounds):
                 else:
                     hbars = (0,) if base == 1 else ()
                 for k in hbars:
-                    exps = {"q": {}, "p": {}, "t": {}}
-                    for kind, vid in combo:
-                        exps[kind][vid] = exps[kind].get(vid, 0) + 1
-                    elem = Element.term(sig, flavor, q=exps["q"], p=exps["p"],
-                                        t=exps["t"], hbar=k, group=group)
-                    (mono, coeff), = elem.terms.items()
-                    assert coeff == 1 and mono.degree(sig) == 1
-                    monos.append(mono)
+                    yield combo, group, k
+
+
+def _candidate_monomials(sig, flavor, bounds: SearchBounds):
+    """Degree-1 monomials inside the bounds, in deterministic order."""
+    monos = []
+    for combo, group, k in _candidate_words(sig, flavor, bounds):
+        exps = {"q": {}, "p": {}, "t": {}}
+        for kind, vid in combo:
+            exps[kind][vid] = exps[kind].get(vid, 0) + 1
+        elem = Element.term(sig, flavor, q=exps["q"], p=exps["p"],
+                            t=exps["t"], hbar=k, group=group)
+        (mono, coeff), = elem.terms.items()
+        assert coeff == 1 and mono.degree(sig) == 1
+        monos.append(mono)
     monos.sort(key=lambda m: m.sort_key(sig))
     return monos
 
@@ -447,7 +457,7 @@ def _miss_by_projection(dspec: DifferentialSpec, root_spec: DifferentialSpec,
     if not verify_chain_map(dspec.with_policy(None),
                             root_spec.with_policy(None)).ok:
         return None
-    n = len(_candidate_monomials(dspec.sig, dspec.flavor, bounds))
+    n = sum(1 for _ in _candidate_words(dspec.sig, dspec.flavor, bounds))
     return SearchResult(None, n, 0, NO_SOLUTION_NOTE if n else NO_CANDIDATES_NOTE)
 
 

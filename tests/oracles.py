@@ -6,13 +6,16 @@ picture for the Weyl product) rather than against the library's normal-form
 code, so agreement is meaningful.  ``apply_d_per_letter`` is the exception:
 it is the earlier, slower form of ``apply_d`` and leans on ``normalize`` and
 the product, but it applies the Leibniz rule at each letter where the
-library peels one letter and reuses the d of the suffix.
+library peels one letter and reuses the d of the suffix.  So is
+``leibniz_bad_pairs``, the full pairwise Weyl-Leibniz loop that
+``validate_structure`` narrows to the pairs that can fail.
 """
 
 from fractions import Fraction
 
 from sftdga import Element
 from sftdga.algebra import combine_policies, normalize, parity
+from sftdga.differential import apply_d
 
 _KIND_RANK = {"q": 0, "p": 1, "t": 2}
 
@@ -234,3 +237,21 @@ def apply_d_per_letter(dspec, elem):
             if parity(letter, sig):
                 sign = -sign
     return Element(sig, flavor, acc, pol)
+
+
+def leibniz_bad_pairs(dspec):
+    """Generator pairs (x, y) with d(x y) != d(x) y + (-1)^{|x|} x d(y)
+    within the spec's bounds, over all (2N)^2 pairs in row-major order of
+    ``dspec.generators()``."""
+    sig, flavor = dspec.sig, dspec.flavor
+    gens = dspec.generators()
+    bad = []
+    for xk in gens:
+        x = normalize(sig, flavor, [xk])
+        sx = -1 if parity(xk, sig) else 1
+        for yk in gens:
+            y = normalize(sig, flavor, [yk])
+            rhs = dspec.images[xk] * y + sx * (x * dspec.images[yk])
+            if not (apply_d(dspec, x * y) - rhs).is_zero:
+                bad.append((xk, yk))
+    return bad

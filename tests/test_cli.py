@@ -79,6 +79,15 @@ def test_d2_failure_prints_residual(tmp_path, capsys):
     assert doc["residuals"]
 
 
+def test_huge_exponent_exits_2_naming_the_bound(toydocs, tmp_path, capsys):
+    doc = sio.load_document(toydocs["differential"])
+    doc["images"]["q:a"].append({"coeff": 1, "q": {"b": 10**9}})
+    path = str(tmp_path / "huge.json")
+    sio.save_document(path, doc)
+    assert main(["validate", path]) == 2
+    assert "MAX_EXPONENT" in capsys.readouterr().err
+
+
 def test_apply_writes_image(toydocs, tmp_path, capsys):
     sig = toy_overtwisted().master.sig
     elem = Element.term(sig, Flavor.SFT_STAR, q={"a": 1})

@@ -14,8 +14,10 @@ from sftdga import (
     MissingImageError,
     OrbitRecord,
     TruncationPolicy,
+    generator_degree,
 )
-from sftdga.corpus import hbar_quotient, spec_from_hamiltonian
+from sftdga import differential
+from sftdga.corpus import hbar_quotient, random_layered_spec, spec_from_hamiltonian
 from sftdga.differential import (
     apply_d,
     check_d_squared,
@@ -27,7 +29,7 @@ from sftdga.differential import (
     verify_chain_map,
 )
 
-from oracles import apply_d_per_letter
+from oracles import apply_d_per_letter, leibniz_bad_pairs
 
 # ---------------------------------------------------------------- toy data
 
@@ -218,6 +220,88 @@ def test_weyl_leibniz_violation_detected():
     report = validate_structure(DifferentialSpec(sig, fl, images))
     item = report.item("weyl-leibniz")
     assert item.passed is False
+
+
+def test_weyl_leibniz_detail_names_the_first_four_pairs_in_loop_order():
+    # six pairs fail; the report names the first four, row by row over the
+    # generators q_a, q_b, q_c, p_a, p_b, p_c
+    sig = AlgebraSignature(n=3, orbits=(OrbitRecord("a", 1), OrbitRecord("b", 2),
+                                        OrbitRecord("c", 2)))
+    fl = Flavor.SFT
+    term = lambda **kw: Element.term(sig, fl, **kw)
+    images = {("q", "a"): term(q={"b": 1}), ("q", "b"): term(q={"a": 1}),
+              ("q", "c"): term(q={"c": 1}), ("p", "a"): term(p={"b": 1}),
+              ("p", "b"): Element.zero(sig, fl),
+              ("p", "c"): term(q={"a": 1}, p={"c": 1})}
+    dspec = DifferentialSpec(sig, fl, images)
+    assert len(leibniz_bad_pairs(dspec)) == 6
+    item = validate_structure(dspec).item("weyl-leibniz")
+    assert item.passed is False
+    assert item.detail == ("images break the commutation relations on pairs "
+                           "(q_c, q_a), (p_a, q_b), (p_a, q_c), (p_b, q_a)")
+
+
+def _leibniz_detail(bad):
+    if not bad:
+        return "Leibniz extension respects all commutation relations"
+    return ("images break the commutation relations on pairs "
+            + ", ".join("(%s_%s, %s_%s)" % (x + y) for x, y in bad[:4]))
+
+
+@pytest.mark.parametrize("flavor", [Flavor.SFT, Flavor.SFT_STAR],
+                         ids=lambda f: f.value)
+def test_weyl_leibniz_matches_the_full_pairwise_oracle(sig_mixed, flavor):
+    # validate_structure skips the pairs whose defect vanishes by algebra;
+    # the oracle computes all of them.  Misgraded tables break pairs that
+    # share no conjugate letter; graded ones only through conjugate letters.
+    rng = random.Random(47)
+    policy = TruncationPolicy(max_p_weight=1, max_hbar_weight=1, max_t_weight=1,
+                              max_word_length=3)
+    keys = [(kind, v) for kind in "qp" for v in "abcd"]
+    specs = []
+    for graded in (False, True) * 5:
+        sparse = rng.random() < 0.5
+        images = {}
+        for key in keys:
+            img = Element.zero(sig_mixed, flavor)
+            if rng.random() >= (0.7 if sparse else 0.2):
+                img = _random_mixed_element(rng, sig_mixed, flavor, 3, 3)
+            if graded:
+                opposite = 1 - (generator_degree(key, sig_mixed) & 1)
+                img = Element(sig_mixed, flavor, {
+                    m: c for m, c in img.terms.items()
+                    if m.degree(sig_mixed) % 2 == opposite})
+            images[key] = img
+        specs.append(DifferentialSpec(sig_mixed, flavor, images))
+    for seed in (3, 4):
+        master = random_layered_spec(seed, pairs=2).master
+        specs.append(restrict_spec(master, flavor))
+    outcomes = []
+    for dspec in specs:
+        for pol in (None, policy):
+            bounded = dspec.with_policy(pol)
+            bad = leibniz_bad_pairs(bounded)
+            item = validate_structure(bounded).item("weyl-leibniz")
+            assert (item.passed, item.detail) == (not bad, _leibniz_detail(bad))
+            outcomes.append(bool(bad))
+    # at least a third of the cases fail, and some pass
+    assert len(outcomes) <= 3 * sum(outcomes) < 3 * len(outcomes)
+
+
+def test_weyl_leibniz_skips_the_pairs_that_cannot_fail(monkeypatch):
+    # 9 orbits give 18 generators and 324 pairs; few of them can fail
+    dspec = random_layered_spec(34, pairs=3, with_unit=False).master
+    calls = []
+    real = differential._leibniz_defect
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(differential, "_leibniz_defect", counted)
+    assert validate_structure(dspec).item("weyl-leibniz").passed
+    assert len(dspec.generators()) ** 2 == 324
+    assert 0 < len(calls) <= 324 // 10
 
 
 def test_d_squared_failure_reports_residual():

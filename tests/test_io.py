@@ -194,6 +194,27 @@ def test_parse_rejections_elements(tiny_sig):
         sio.element_from_data(bad)
 
 
+def test_exponent_above_the_limit_is_rejected_before_the_term_is_built(
+        tiny_sig, monkeypatch):
+    doc = {
+        "format": "sftdga-element",
+        "version": 1,
+        "signature": sio.signature_to_data(tiny_sig),
+        "flavor": "SFT*",
+        "terms": [{"coeff": 1, "q": {"a": sio.MAX_EXPONENT}}],
+    }
+    assert not sio.element_from_data(doc).is_zero
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("term built")
+
+    monkeypatch.setattr(sio.Element, "term", staticmethod(refuse))
+    for kind, vid in (("q", "a"), ("p", "a"), ("t", "u")):
+        bad = dict(doc, terms=[{"coeff": 1, kind: {vid: 10**9}}])
+        with pytest.raises(ParseError, match="MAX_EXPONENT = %d" % sio.MAX_EXPONENT):
+            sio.element_from_data(bad)
+
+
 def test_differential_rejects_bad_image_keys():
     doc = raw_doc({"x:c": [{"coeff": 1}]}, mode="rational")
     with pytest.raises(ParseError, match="image key"):

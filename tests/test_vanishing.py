@@ -344,3 +344,53 @@ def test_classify_keeps_the_hbar_cap_check_after_a_root_miss():
                                  bounds).certificate is None
     with pytest.raises(BoundsError, match="hbar has degree 0 here"):
         classify(spec, bounds)
+
+
+def test_projected_miss_counts_what_the_candidate_list_holds(sig_mixed):
+    # the count of _miss_by_projection and the list of a direct search walk
+    # one enumeration; every window bound must cut both alike
+    zero = DifferentialSpec(sig_mixed, Flavor.SFT_STAR, {
+        (kind, o.id): Element.zero(sig_mixed, Flavor.SFT_STAR)
+        for kind in "qp" for o in sig_mixed.orbits})
+    cases = [(random_layered_spec(s, pairs=3, with_unit=False).master, [
+        SearchBounds(max_word_length=4),
+        SearchBounds(max_word_length=4, max_hbar=1, max_action=Fraction(8)),
+        SearchBounds(max_word_length=3, max_hbar=2, orbits=("w", "c0", "b1", "m")),
+    ]) for s in (34, 35)]
+    cases.append((zero, [
+        SearchBounds(max_word_length=3, max_hbar=1, groups=((0,), (1,), (-1,))),
+        SearchBounds(max_word_length=3, groups=((0,), (2,)), max_action=Fraction(7)),
+        SearchBounds(max_word_length=4, max_hbar=0, orbits=("a", "b")),
+    ]))
+    counts = []
+    for master, windows in cases:
+        root = restrict_spec(master, Flavor.CH)
+        for bounds in windows:
+            for f in Flavor:
+                spec = restrict_spec(master, f)
+                want = len(vanishing._candidate_monomials(spec.sig, f, bounds))
+                got = vanishing._miss_by_projection(spec, root, bounds)
+                assert got.candidates == want, (bounds, f)
+                assert got.note == (vanishing.NO_SOLUTION_NOTE if want
+                                    else vanishing.NO_CANDIDATES_NOTE)
+                counts.append(want)
+    assert min(counts) == 0 and max(counts) > 500
+
+
+def test_projected_miss_raises_what_the_candidate_list_raises():
+    sig = AlgebraSignature(n=3, orbits=(OrbitRecord("w", 1, 1),
+                                        OrbitRecord("x", 2, 2)))
+    spec = DifferentialSpec(sig, Flavor.SFT, {
+        (kind, o): Element.zero(sig, Flavor.SFT) for kind in "qp" for o in "wx"})
+    root = restrict_spec(spec, Flavor.CH)
+    for bounds, match in (
+            (SearchBounds(max_word_length=3), "hbar has degree 0 here"),
+            (SearchBounds(max_word_length=3, max_hbar=1, orbits=("zz",)),
+             "unknown orbits"),
+            (SearchBounds(max_word_length=3, max_hbar=1, max_action=1),
+             "has no period")):
+        with pytest.raises(BoundsError, match=match) as want:
+            vanishing._candidate_monomials(sig, Flavor.SFT, bounds)
+        with pytest.raises(BoundsError) as got:
+            vanishing._miss_by_projection(spec, root, bounds)
+        assert str(got.value) == str(want.value)
