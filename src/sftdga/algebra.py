@@ -133,14 +133,6 @@ class Monomial:
     hbar: int = 0
     group: GroupElement = ()
 
-    def letters(self):
-        """The word of q/p/t letters in stored (normal) order, with repeats."""
-        out = []
-        for kind, block in (("q", self.q), ("p", self.p), ("t", self.t)):
-            for vid, exp in block:
-                out.extend([(kind, vid)] * exp)
-        return out
-
     @property
     def q_weight(self) -> int:
         return sum(e for _, e in self.q)
@@ -156,12 +148,6 @@ class Monomial:
     @property
     def word_length(self) -> int:
         return self.q_weight + self.p_weight + self.t_weight
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.q and not self.p and not self.t and self.hbar == 0 and (
-            not any(self.group)
-        )
 
     def degree(self, sig: AlgebraSignature) -> int:
         d = sig.group_degree(self.group) + self.hbar * sig.hbar_degree()
@@ -427,12 +413,6 @@ class Element:
         """Degree when homogeneous and nonzero, else None."""
         ds = self.degrees()
         return ds[0] if len(ds) == 1 else None
-
-    def min_filtration_weight(self):
-        """Smallest filtration weight over terms; None for the zero element."""
-        if self.is_zero:
-            return None
-        return min(filtration_weight(m, self.flavor) for m in self.terms)
 
     def with_policy(self, policy) -> "Element":
         return Element(self.sig, self.flavor, self.terms, policy)

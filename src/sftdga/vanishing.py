@@ -109,8 +109,12 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_word_length < 0:
             raise BoundsError("max_word_length must be nonnegative")
+        if self.max_hbar is not None and self.max_hbar < 0:
+            raise BoundsError("max_hbar must be nonnegative")
         if self.max_action is not None:
             object.__setattr__(self, "max_action", as_fraction(self.max_action))
+            if self.max_action < 0:
+                raise BoundsError("max_action must be nonnegative")
 
     def group_list(self, sig: AlgebraSignature):
         if self.groups is None:
@@ -144,12 +148,13 @@ class SearchResult:
     note: str = ""
 
 
-def _candidate_words(sig, flavor, bounds: SearchBounds):
-    """The degree-1 words inside the bounds, one ``(combo, group, hbar)`` per
-    candidate monomial: ``combo`` lists the q/p/t letters in normal order,
-    with repeats.  ``_candidate_monomials`` builds the monomials and
-    ``_miss_by_projection`` only counts them; both run the enumeration to
-    its end, so both raise the same BoundsError."""
+def _window(sig, flavor, bounds: SearchBounds):
+    """What the candidate walk and the candidate count both read off the
+    bounds: the q/p/t letters in normal order, their degrees, their periods
+    (None without ``max_action``; t letters have period 0) and a map from a
+    word's degree to the ``(group, hbar)`` pairs that complete it to a
+    degree-1 monomial.  Every BoundsError of a search is raised here, so the
+    two paths raise the same ones in the same order."""
     flavor = Flavor(flavor)
     orbit_ids = [o.id for o in sig.orbits]
     if bounds.orbits is not None:
@@ -165,49 +170,99 @@ def _candidate_words(sig, flavor, bounds: SearchBounds):
         letters += [("t", f.id) for f in sig.tforms]
     degree = {let: generator_degree(let, sig) for let in letters}
 
-    def letter_action(let):
-        kind, vid = let
-        if kind == "t":
-            return Fraction(0)
-        period = sig.orbit(vid).period
-        if period is None:
-            raise BoundsError("max_action set but orbit %r has no period" % vid)
-        return period
-
     hd = sig.hbar_degree()
-    if flavor.allows_hbar and hd == 0 and bounds.max_hbar is None:
+    allows_hbar = flavor.allows_hbar
+    if allows_hbar and hd == 0 and bounds.max_hbar is None:
         raise BoundsError(
             "hbar has degree 0 here (n = 3); the search needs an explicit max_hbar"
         )
-
     groups = [(g, sig.group_degree(g)) for g in bounds.group_list(sig)]
+
+    period = None
+    if bounds.max_action is not None:
+        period = {}
+        for let in letters:
+            kind, vid = let
+            period[let] = 0 if kind == "t" else sig.orbit(vid).period
+            if period[let] is None and bounds.max_word_length:
+                raise BoundsError("max_action set but orbit %r has no period" % vid)
+
+    def completions(wdeg):
+        out = []
+        for group, gdeg in groups:
+            base = wdeg + gdeg
+            if not allows_hbar:
+                hbars = (0,) if base == 1 else ()
+            elif hd == 0:
+                hbars = range(bounds.max_hbar + 1) if base == 1 else ()
+            else:
+                k, rem = divmod(1 - base, hd)
+                good = rem == 0 and k >= 0 and (
+                    bounds.max_hbar is None or k <= bounds.max_hbar)
+                hbars = (k,) if good else ()
+            out.extend((group, k) for k in hbars)
+        return out
+
+    return letters, degree, period, completions
+
+
+def _candidate_words(sig, flavor, bounds: SearchBounds):
+    """The degree-1 words inside the bounds, one ``(combo, group, hbar)`` per
+    candidate monomial: ``combo`` lists the q/p/t letters in normal order,
+    with repeats.  This walk is the only path that lists candidates
+    (``_candidate_monomials`` builds the monomials from it); it visits every
+    letter combination and keeps those that ``_window``'s completions turn
+    into degree 1.  ``_candidate_count`` counts the same words without
+    listing them."""
+    letters, degree, period, completions = _window(sig, flavor, bounds)
     # combinations repeat a letter only in adjacent slots
     odd_squares = {(let, let) for let in letters if degree[let] & 1}
-    allows_hbar = flavor.allows_hbar
+    by_degree = {}
     for length in range(bounds.max_word_length + 1):
         for combo in itertools.combinations_with_replacement(letters, length):
             if not odd_squares.isdisjoint(zip(combo, combo[1:])):
                 continue  # odd square, identically zero
-            if bounds.max_action is not None:
-                total = sum((letter_action(l) for l in combo), Fraction(0))
-                if total > bounds.max_action:
-                    continue
+            if period is not None and sum(
+                    map(period.__getitem__, combo)) > bounds.max_action:
+                continue
             wdeg = sum(map(degree.__getitem__, combo))
-            for group, gdeg in groups:
-                base = wdeg + gdeg
-                if allows_hbar:
-                    if hd == 0:
-                        hbars = range(bounds.max_hbar + 1) if base == 1 else ()
-                    else:
-                        num = 1 - base
-                        k, rem = divmod(num, hd)
-                        good = rem == 0 and k >= 0 and (
-                            bounds.max_hbar is None or k <= bounds.max_hbar)
-                        hbars = (k,) if good else ()
-                else:
-                    hbars = (0,) if base == 1 else ()
-                for k in hbars:
-                    yield combo, group, k
+            if wdeg not in by_degree:
+                by_degree[wdeg] = completions(wdeg)
+            for group, k in by_degree[wdeg]:
+                yield combo, group, k
+
+
+def _candidate_count(sig, flavor, bounds: SearchBounds) -> int:
+    """``len(_candidate_monomials(sig, flavor, bounds))`` without listing.
+
+    A candidate word is a choice of exponent per letter: 0 or 1 for an odd
+    letter (an odd square is zero, as in the walk), 0 up to the letters left
+    under ``max_word_length`` for an even one.  Going over the letters in
+    normal order, a table counts the partial words by (letters used, degree,
+    action); periods are positive, so a partial action above ``max_action``
+    can only grow and is dropped.  The action is the int 0 throughout when
+    there is no ``max_action``.  A word of degree w then stands for
+    ``len(completions(w))`` candidates, the same rule the walk applies.
+    """
+    letters, degree, period, completions = _window(sig, flavor, bounds)
+    top, cap = bounds.max_word_length, bounds.max_action
+    table = {(0, 0, 0): 1}
+    for let in letters:
+        d = degree[let]
+        a = 0 if period is None else period[let]
+        most = 1 if d & 1 else top
+        grown = dict(table)  # exponent 0
+        for (used, deg, act), n in table.items():
+            for e in range(1, min(most, top - used) + 1):
+                if cap is not None and act + e * a > cap:
+                    break
+                key = (used + e, deg + e * d, act + e * a)
+                grown[key] = grown.get(key, 0) + n
+        table = grown
+    words = {}
+    for (_, deg, _), n in table.items():
+        words[deg] = words.get(deg, 0) + n
+    return sum(n * len(completions(deg)) for deg, n in words.items())
 
 
 def _candidate_monomials(sig, flavor, bounds: SearchBounds):
@@ -451,13 +506,15 @@ def _miss_by_projection(dspec: DifferentialSpec, root_spec: DifferentialSpec,
     there, and Pi f is a combination of root candidates: projection only
     drops monomials, and every other bound of the window ignores the
     flavor.  So the root miss rules f out and no system is built
-    (``constraints`` is 0).  Returns None when the chain-map check fails,
-    and the caller must search.
+    (``constraints`` is 0).  ``verify_chain_map`` compares generator images,
+    and ``_candidate_count`` gives the number of candidates the search would
+    list, with the same BoundsErrors.  Returns None when the chain-map
+    check fails, and the caller must search.
     """
     if not verify_chain_map(dspec.with_policy(None),
                             root_spec.with_policy(None)).ok:
         return None
-    n = sum(1 for _ in _candidate_words(dspec.sig, dspec.flavor, bounds))
+    n = _candidate_count(dspec.sig, dspec.flavor, bounds)
     return SearchResult(None, n, 0, NO_SOLUTION_NOTE if n else NO_CANDIDATES_NOTE)
 
 

@@ -8,14 +8,16 @@ it is the earlier, slower form of ``apply_d`` and leans on ``normalize`` and
 the product, but it applies the Leibniz rule at each letter where the
 library peels one letter and reuses the d of the suffix.  So is
 ``leibniz_bad_pairs``, the full pairwise Weyl-Leibniz loop that
-``validate_structure`` narrows to the pairs that can fail.
+``validate_structure`` narrows to the pairs that can fail, and
+``chain_map_by_apply_d``, the chain-map check through ``apply_d`` that
+``verify_chain_map`` replaces by a comparison of images.
 """
 
 from fractions import Fraction
 
 from sftdga import Element
 from sftdga.algebra import combine_policies, normalize, parity
-from sftdga.differential import apply_d
+from sftdga.differential import CheckItem, CheckReport, apply_d, project
 
 _KIND_RANK = {"q": 0, "p": 1, "t": 2}
 
@@ -46,6 +48,16 @@ def bubble_sign(word, sig):
                 w[i], w[i + 1] = w[i + 1], w[i]
                 changed = True
     return w, sign
+
+
+def letters(mono):
+    """The word of q/p/t letters of a monomial in stored (normal) order,
+    with repeats."""
+    out = []
+    for kind, block in (("q", mono.q), ("p", mono.p), ("t", mono.t)):
+        for vid, exp in block:
+            out.extend([(kind, vid)] * exp)
+    return out
 
 
 def has_odd_repeat(word, sig):
@@ -126,7 +138,7 @@ def act_right(f, a):
     out = Element.zero(sig, f.flavor)
     for mono, coeff in a.items():
         g = f.scale(coeff)
-        for kind, vid in mono.letters():
+        for kind, vid in letters(mono):
             if g.is_zero:
                 break
             if kind == "p":
@@ -200,11 +212,11 @@ def weyl_product(a, b):
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             g = tuple(x + y for x, y in zip(m1.group, m2.group))
-            for (letters, extra), coeff in _weyl_reduce(
-                sig, m1.letters() + m2.letters()
+            for (word, extra), coeff in _weyl_reduce(
+                sig, letters(m1) + letters(m2)
             ).items():
                 exps = {"q": {}, "p": {}, "t": {}}
-                for kind, vid in letters:
+                for kind, vid in word:
                     exps[kind][vid] = exps[kind].get(vid, 0) + 1
                 out = out + Element.term(sig, a.flavor, coeff=coeff * c1 * c2,
                                          hbar=m1.hbar + m2.hbar + extra,
@@ -223,13 +235,13 @@ def apply_d_per_letter(dspec, elem):
     pol = combine_policies(dspec.policy, elem.policy)
     acc = {}
     for mono, coeff in elem.terms.items():
-        letters = mono.letters()
+        word = letters(mono)
         sign = 1
-        for i, letter in enumerate(letters):
+        for i, letter in enumerate(word):
             img = dspec.images.get(letter)
             if img is not None and not img.is_zero:
-                prefix = normalize(sig, flavor, letters[:i])
-                suffix = normalize(sig, flavor, letters[i + 1:])
+                prefix = normalize(sig, flavor, word[:i])
+                suffix = normalize(sig, flavor, word[i + 1:])
                 piece = (prefix * img * suffix).shift(hbar=mono.hbar,
                                                       group=mono.group)
                 for m2, c2 in piece.terms.items():
@@ -255,3 +267,20 @@ def leibniz_bad_pairs(dspec):
             if not (apply_d(dspec, x * y) - rhs).is_zero:
                 bad.append((xk, yk))
     return bad
+
+
+def chain_map_by_apply_d(source, target):
+    """``verify_chain_map`` by applying both differentials: for every
+    generator x of the source, Pi(d x) against d(Pi x)."""
+    bad = []
+    for key in source.generators():
+        gen = source.generator_element(key)
+        lhs = project(apply_d(source, gen), target.flavor)
+        rhs = apply_d(target, project(gen, target.flavor))
+        if lhs != rhs:
+            bad.append("%s_%s" % key)
+    item = CheckItem(
+        "chain-map", not bad,
+        ("projection fails to intertwine d on " + ", ".join(bad[:6])) if bad
+        else "projection intertwines the differentials on all generators")
+    return CheckReport([item])

@@ -241,3 +241,17 @@ def test_usage_errors_exit_2(toydocs, tmp_path):
     path = str(tmp_path / "elem.json")
     sio.save_document(path, sio.element_to_data(elem))
     assert main(["lift", toydocs["rSFT"], path]) == 2
+
+
+def test_negative_search_bounds_exit_2_naming_the_bound(toydocs, tmp_path,
+                                                        capsys):
+    assert main(["find-primitive", toydocs["differential"],
+                 "--max-hbar", "-1"]) == 2
+    assert "max_hbar must be nonnegative" in capsys.readouterr().err
+    doc = sio.load_document(toydocs["bounds"])
+    doc["max_action"] = "-1"
+    path = str(tmp_path / "negative-bounds.json")
+    sio.save_document(path, doc)
+    assert main(["find-primitive", toydocs["differential"],
+                 "--bounds", path]) == 2
+    assert "max_action must be nonnegative" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from sftdga import (
     SeriesWeightError,
     TruncationPolicy,
 )
-from sftdga import vanishing
+from sftdga import differential, vanishing
 from sftdga.algebra import normalize
 from sftdga.corpus import corpus_entry, random_layered_spec, spec_from_hamiltonian
 from sftdga.differential import restrict_spec, verify_chain_map
@@ -174,6 +174,25 @@ def test_action_bound_needs_periods():
     with pytest.raises(BoundsError):
         search_unit_primitive(dspec, SearchBounds(max_word_length=2,
                                                   max_action=Fraction(5)))
+
+
+def test_action_bound_needs_periods_only_for_letters():
+    # a window without letters holds only the empty word, which has no action
+    sig = AlgebraSignature(n=2, orbits=(OrbitRecord("a", 1),))
+    bounds = SearchBounds(max_word_length=0, max_action=Fraction(1))
+    for f in Flavor:
+        listed = vanishing._candidate_monomials(sig, f, bounds)
+        assert vanishing._candidate_count(sig, f, bounds) == len(listed) == 0
+
+
+def test_negative_search_bounds_are_rejected():
+    for kw, name in (({"max_word_length": -1}, "max_word_length"),
+                     ({"max_hbar": -1}, "max_hbar"),
+                     ({"max_action": Fraction(-1, 2)}, "max_action"),
+                     ({"max_action": "-1"}, "max_action")):
+        with pytest.raises(BoundsError, match=name + " must be nonnegative"):
+            SearchBounds(**kw)
+    assert SearchBounds(max_hbar=0, max_action=0).max_action == 0
 
 
 def test_degenerate_hbar_degree_needs_a_cap():
@@ -394,3 +413,36 @@ def test_projected_miss_raises_what_the_candidate_list_raises():
         with pytest.raises(BoundsError) as got:
             vanishing._miss_by_projection(spec, root, bounds)
         assert str(got.value) == str(want.value)
+
+
+def test_classify_miss_walks_candidates_only_for_the_root_search(monkeypatch):
+    # counts, not times: the projected misses count their candidates with
+    # the degree table, and the chain-map check compares images
+    walks, inside, applied = [], [], []
+    real_walk = vanishing._candidate_words
+    real_check = vanishing.verify_chain_map
+    real_apply = differential.apply_d
+
+    def walk(*args):
+        walks.append(args[1])
+        return real_walk(*args)
+
+    def check(*args):
+        inside.append(len(applied))
+        report = real_check(*args)
+        inside.append(len(applied))
+        return report
+
+    def apply(*args):
+        applied.append(args[0].flavor)
+        return real_apply(*args)
+
+    monkeypatch.setattr(vanishing, "_candidate_words", walk)
+    monkeypatch.setattr(vanishing, "verify_chain_map", check)
+    monkeypatch.setattr(differential, "apply_d", apply)
+    master = random_layered_spec(34, pairs=3, with_unit=False).master
+    report = classify(master, SearchBounds(4, max_hbar=2))
+    assert all(e.status == "no-primitive-within-bounds" for e in report.entries)
+    assert walks == [Flavor.CH]
+    assert len(inside) == 2 * 5
+    assert inside[0::2] == inside[1::2]  # no apply_d inside the check
