@@ -506,10 +506,9 @@ def _miss_by_projection(dspec: DifferentialSpec, root_spec: DifferentialSpec,
     there, and Pi f is a combination of root candidates: projection only
     drops monomials, and every other bound of the window ignores the
     flavor.  So the root miss rules f out and no system is built
-    (``constraints`` is 0).  ``verify_chain_map`` compares generator images,
-    and ``_candidate_count`` gives the number of candidates the search would
-    list, with the same BoundsErrors.  Returns None when the chain-map
-    check fails, and the caller must search.
+    (``constraints`` is 0).  ``_candidate_count`` gives the number of
+    candidates the search would list, with the same BoundsErrors.  Returns
+    None when the chain-map check fails, and the caller must search.
     """
     if not verify_chain_map(dspec.with_policy(None),
                             root_spec.with_policy(None)).ok:

@@ -8,16 +8,14 @@ it is the earlier, slower form of ``apply_d`` and leans on ``normalize`` and
 the product, but it applies the Leibniz rule at each letter where the
 library peels one letter and reuses the d of the suffix.  So is
 ``leibniz_bad_pairs``, the full pairwise Weyl-Leibniz loop that
-``validate_structure`` narrows to the pairs that can fail, and
-``chain_map_by_apply_d``, the chain-map check through ``apply_d`` that
-``verify_chain_map`` replaces by a comparison of images.
+``validate_structure`` narrows to the pairs that can fail.
 """
 
 from fractions import Fraction
 
 from sftdga import Element
 from sftdga.algebra import combine_policies, normalize, parity
-from sftdga.differential import CheckItem, CheckReport, apply_d, project
+from sftdga.differential import apply_d
 
 _KIND_RANK = {"q": 0, "p": 1, "t": 2}
 
@@ -267,20 +265,3 @@ def leibniz_bad_pairs(dspec):
             if not (apply_d(dspec, x * y) - rhs).is_zero:
                 bad.append((xk, yk))
     return bad
-
-
-def chain_map_by_apply_d(source, target):
-    """``verify_chain_map`` by applying both differentials: for every
-    generator x of the source, Pi(d x) against d(Pi x)."""
-    bad = []
-    for key in source.generators():
-        gen = source.generator_element(key)
-        lhs = project(apply_d(source, gen), target.flavor)
-        rhs = apply_d(target, project(gen, target.flavor))
-        if lhs != rhs:
-            bad.append("%s_%s" % key)
-    item = CheckItem(
-        "chain-map", not bad,
-        ("projection fails to intertwine d on " + ", ".join(bad[:6])) if bad
-        else "projection intertwines the differentials on all generators")
-    return CheckReport([item])

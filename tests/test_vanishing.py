@@ -15,7 +15,7 @@ from sftdga import (
     SeriesWeightError,
     TruncationPolicy,
 )
-from sftdga import differential, vanishing
+from sftdga import vanishing
 from sftdga.algebra import normalize
 from sftdga.corpus import corpus_entry, random_layered_spec, spec_from_hamiltonian
 from sftdga.differential import restrict_spec, verify_chain_map
@@ -417,32 +417,23 @@ def test_projected_miss_raises_what_the_candidate_list_raises():
 
 def test_classify_miss_walks_candidates_only_for_the_root_search(monkeypatch):
     # counts, not times: the projected misses count their candidates with
-    # the degree table, and the chain-map check compares images
-    walks, inside, applied = [], [], []
+    # the degree table, and only the root search lists them
+    walks, checks = [], []
     real_walk = vanishing._candidate_words
     real_check = vanishing.verify_chain_map
-    real_apply = differential.apply_d
 
     def walk(*args):
         walks.append(args[1])
         return real_walk(*args)
 
     def check(*args):
-        inside.append(len(applied))
-        report = real_check(*args)
-        inside.append(len(applied))
-        return report
-
-    def apply(*args):
-        applied.append(args[0].flavor)
-        return real_apply(*args)
+        checks.append(args[0].flavor)
+        return real_check(*args)
 
     monkeypatch.setattr(vanishing, "_candidate_words", walk)
     monkeypatch.setattr(vanishing, "verify_chain_map", check)
-    monkeypatch.setattr(differential, "apply_d", apply)
     master = random_layered_spec(34, pairs=3, with_unit=False).master
     report = classify(master, SearchBounds(4, max_hbar=2))
     assert all(e.status == "no-primitive-within-bounds" for e in report.entries)
     assert walks == [Flavor.CH]
-    assert len(inside) == 2 * 5
-    assert inside[0::2] == inside[1::2]  # no apply_d inside the check
+    assert sorted(f.value for f in checks) == ["CH*", "SFT", "SFT*", "rSFT", "rSFT*"]
